@@ -4,8 +4,8 @@
 //! `exchange_plan/transpose` builds the transpose-pair exchange schedule
 //! (one block per off-diagonal node, all `n` dimensions highest first);
 //! `router_plan/transpose` builds the e-cube flight plan for the
-//! figures' node-permutation workload — the static twin of the
-//! `router/flat/transpose` bench. Both at `n ∈ {10, 12, 14, 16}` (16
+//! figures' node-permutation workload — the hop log that the
+//! `router/flat/transpose` bench replays. Both at `n ∈ {10, 12, 14, 16}` (16
 //! became feasible with factored construction). The `*/cached` rows
 //! measure a warm [`PlanCache`] hit for the same inputs — the price a
 //! figure sweep or CI lint pays after the first build.

@@ -9,7 +9,9 @@
 //! `a2a/swap_exchange` replays the static swap-exchange schedule —
 //! `2M-1` contention-free rounds — through the payload-free executor.
 //! `swap_exchange/build` and `swap_exchange/cached` are one cold plan
-//! construction versus a warm [`PlanCache`] fetch of the same plan.
+//! construction versus a warm [`PlanCache`] fetch of the same plan;
+//! `direct_plan/build` is the direct-routing flight plan of the same
+//! all-to-all (the hop log `a2a/direct_route` replays).
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use cubeaddr::NodeId;
@@ -17,7 +19,8 @@ use cubecheck::run_schedule;
 use cubecomm::ecube::RouteMsg;
 use cubecomm::graph::graph_route;
 use cubecomm::plan::{
-    dragonfly_swap_exchange_plan, dragonfly_swap_exchange_plan_cached, PlanCache,
+    dragonfly_direct_plan, dragonfly_swap_exchange_plan, dragonfly_swap_exchange_plan_cached,
+    PlanCache,
 };
 use cubecomm::Block;
 use cubesim::{MachineParams, PortMode, SimNet};
@@ -70,6 +73,12 @@ fn bench_dragonfly(c: &mut Criterion) {
             },
             BatchSize::LargeInput,
         )
+    });
+
+    let triples: Vec<(NodeId, NodeId, u64)> =
+        msgs.iter().map(|m| (m.src, m.dst, m.data.len() as u64)).collect();
+    group.bench_with_input(BenchmarkId::new("direct_plan/build", &shape), &(), |b, ()| {
+        b.iter(|| dragonfly_direct_plan(K, M, &triples))
     });
 
     let sizes = a2a_sizes(num);

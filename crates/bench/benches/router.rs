@@ -1,12 +1,13 @@
-//! E-cube router throughput: the flat lane-based router versus the
-//! original full-lattice `RefRouter`, on the workloads the figures run.
+//! E-cube router throughput: `ecube_route` (the shared hop loop,
+//! replayed through `SimNet`) versus the original full-lattice
+//! `RefRouter`, on the workloads the figures run.
 //!
 //! `transpose/*` is the node-permutation transpose pattern behind
 //! FIG14b/16–18 (Connection Machine constants, `2^n` messages, heavy
 //! contention) at the two largest sweep sizes; `sparse_probe/*` is 16
 //! messages on a 14-cube, where the reference router still pays for the
-//! full `2^n × n` queue lattice (~230k queues) but the lazily sized
-//! flat router only allocates the touched lanes.
+//! full `2^n × n` queue lattice (~230k queues) but the hop loop's dense
+//! lanes start as zeroed pages and only the touched ones are written.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use cubeaddr::NodeId;
@@ -16,7 +17,7 @@ use cubecomm::ecube::{ecube_route, RouteMsg};
 use cubecomm::{Block, BlockMsg};
 use cubesim::{MachineParams, SimNet};
 
-/// Net for the flat router, which carries bare blocks on the wire.
+/// Net for `ecube_route`, which carries bare blocks on the wire.
 fn cm_net(n: u32) -> SimNet<Block<u64>> {
     SimNet::new(n, MachineParams::connection_machine())
 }

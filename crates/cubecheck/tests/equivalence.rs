@@ -13,10 +13,11 @@
 use cubeaddr::{DimSet, NodeId};
 use cubecomm::ecube::{ecube_route, RouteMsg};
 use cubecomm::exchange::all_to_all_exchange;
+use cubecomm::graph::graph_route;
 use cubecomm::one_to_all::{one_to_all_rotated_sbts, one_to_all_sbt};
 use cubecomm::plan::{
-    all_to_all_exchange_plan, all_to_all_sbnt_plan, ecube_route_plan, one_to_all_sbt_plan,
-    one_to_all_trees_plan, some_to_all_plan, CommSchedule,
+    all_to_all_exchange_plan, all_to_all_sbnt_plan, dragonfly_direct_plan, ecube_route_plan,
+    one_to_all_sbt_plan, one_to_all_trees_plan, some_to_all_plan, CommSchedule,
 };
 use cubecomm::sbnt::all_to_all_sbnt;
 use cubecomm::sbt::Sbt;
@@ -24,7 +25,21 @@ use cubecomm::some_to_all::some_to_all;
 use cubecomm::{Block, BlockMsg, BufferPolicy};
 use cubesim::par::with_threads;
 use cubesim::{CommReport, MachineParams, PortMode, SimNet};
+use cubetopo::{SwappedDragonfly, TopoSpec, Topology};
 use proptest::prelude::*;
+
+/// Topologies the router planners are checked on: the cubes of the
+/// other suites next to small Swapped Dragonflies `D3(K,M)`.
+const ROUTED_TOPOS: [TopoSpec; 8] = [
+    TopoSpec::Hypercube { n: 1 },
+    TopoSpec::Hypercube { n: 2 },
+    TopoSpec::Hypercube { n: 3 },
+    TopoSpec::Hypercube { n: 4 },
+    TopoSpec::Dragonfly { k: 2, m: 1 },
+    TopoSpec::Dragonfly { k: 1, m: 3 },
+    TopoSpec::Dragonfly { k: 2, m: 2 },
+    TopoSpec::Dragonfly { k: 2, m: 3 },
+];
 
 /// Thread settings every execution is replayed at (satellite 1: the
 /// proptest runs in CI at >= 2 settings).
@@ -184,13 +199,25 @@ proptest! {
             assert_equivalent(&plan, &params, &report);
         }
     }
+}
 
-    /// The e-cube flight planner mirrors the flat router, including its
-    /// contention serialization, at both thread settings (the router is
-    /// the one engine with a parallel data plane).
+proptest! {
+    // Twice the cases of the suites above: the topology is one more
+    // input, and the cubes keep their share of the draws.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The router flight planners mirror a real routing run, including
+    /// its contention serialization, at both thread settings: the e-cube
+    /// plan against `ecube_route` on a cube, the direct plan against
+    /// `graph_route` on a small Swapped Dragonfly.
     #[test]
-    fn ecube_plan_equivalent(n in 1u32..5, seed in any::<u64>(), count in 0usize..12) {
-        let num = 1u64 << n;
+    fn ecube_plan_equivalent(
+        topo in 0usize..ROUTED_TOPOS.len(),
+        seed in any::<u64>(),
+        count in 0usize..12,
+    ) {
+        let topo = ROUTED_TOPOS[topo];
+        let num = topo.num_nodes() as u64;
         let msgs: Vec<(NodeId, NodeId, u64)> = (0..count as u64)
             .map(|i| {
                 let h = i.wrapping_add(1).wrapping_mul(seed | 1);
@@ -201,11 +228,12 @@ proptest! {
             })
             .collect();
         let params = MachineParams::unit(PortMode::AllPorts);
-        let plan = ecube_route_plan(n, &msgs);
+        let plan = match topo {
+            TopoSpec::Hypercube { n } => ecube_route_plan(n, &msgs),
+            TopoSpec::Dragonfly { k, m } => dragonfly_direct_plan(k, m, &msgs),
+        };
         for t in THREADS {
             let report = with_threads(t, || {
-                let mut net: SimNet<Block<u64>> = SimNet::new(n, params.clone());
-                net.record_links();
                 let route_msgs: Vec<RouteMsg<u64>> = msgs
                     .iter()
                     .map(|&(src, dst, elems)| RouteMsg {
@@ -214,8 +242,21 @@ proptest! {
                         data: vec![src.bits(); elems as usize],
                     })
                     .collect();
-                let _ = ecube_route(&mut net, route_msgs);
-                net.finalize()
+                match topo {
+                    TopoSpec::Hypercube { n } => {
+                        let mut net: SimNet<Block<u64>> = SimNet::new(n, params.clone());
+                        net.record_links();
+                        let _ = ecube_route(&mut net, route_msgs);
+                        net.finalize()
+                    }
+                    TopoSpec::Dragonfly { k, m } => {
+                        let mut net: SimNet<Block<u64>, SwappedDragonfly> =
+                            SimNet::on_topology(SwappedDragonfly::new(k, m), params.clone());
+                        net.record_links();
+                        let _ = graph_route(&mut net, route_msgs);
+                        net.finalize()
+                    }
+                }
             });
             assert_equivalent(&plan, &params, &report);
         }

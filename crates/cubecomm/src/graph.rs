@@ -1,214 +1,249 @@
-//! Graph-generic store-and-forward routing over any [`MinimalRoute`]
-//! topology — the [`ecube`](crate::ecube) router lifted off the cube.
+//! The one store-and-forward router of the crate, over any
+//! [`MinimalRoute`] topology.
 //!
-//! [`graph_route`] runs the same data plane as
-//! [`ecube_route`](crate::ecube::ecube_route) — lazily built per-node
-//! lanes of intrusive port FIFOs, a live-lane bitmap, an
-//! undelivered-message counter, the staging/commit split that keeps
-//! every [`SimNet`] interaction serial and deterministic — but asks the
-//! topology's [`MinimalRoute::next_port`] for each forwarding decision
-//! instead of hard-coding the e-cube rule. On a [`Hypercube`] net the
-//! two routers take identical decisions in identical order, so their
-//! arrivals and [`cubesim::CommReport`]s are byte-identical at every
-//! thread count (property-tested in
-//! `crates/cubecomm/tests/graph_router_equivalence.rs`); on a
-//! [`cubetopo::SwappedDragonfly`] the same loop routes Draper's minimal
-//! local–global–local paths with per-link FIFO contention.
+//! The paper's "routing logic" baseline (Figures 14(b) and 16–18) is a
+//! single discipline: every message follows the topology's canonical
+//! minimal route, each directed link carries one message per round, and
+//! contending messages wait in a FIFO per link. Draper's minimal
+//! local–global–local routing on the Swapped Dragonfly is the same
+//! discipline on another graph. This module simulates it exactly once:
+//!
+//! * `hop_rounds` is the contention simulation. It sees only message
+//!   addresses and hands over each round's `(src, port, id)` hops in
+//!   send order — the router's hop log, one round at a time.
+//! * [`graph_route`] replays each round through a [`SimNet`] as it
+//!   comes, carrying the real payloads;
+//!   [`ecube_route`](crate::ecube::ecube_route) is `graph_route` on the
+//!   cube.
+//! * The flight planners ([`crate::plan::ecube_route_plan`],
+//!   [`crate::plan::dragonfly_direct_plan`]) record the same rounds as a
+//!   [`crate::plan::CommSchedule`].
+//!
+//! A plan therefore cannot drift from an execution: the router executes
+//! the plan's hop sequence. On a [`Hypercube`] net the result is
+//! byte-identical to the original full-lattice router
+//! ([`crate::ecube::reference::RefRouter`]), property-tested in
+//! `crates/cubecomm/tests/router_equivalence.rs`.
+//!
+//! # Ordering
+//!
+//! Each round stages one queue head per non-empty link, nodes ascending
+//! and ports ascending per node, and commits the hops port-major (nodes
+//! ascending within a port). Landings are processed in send order: a
+//! block that reached its destination retires, the rest join the FIFO of
+//! their next port. The replay relies on [`SimNet::drain_all_with`]
+//! yielding deliveries in send order, so the `i`-th delivery of a round
+//! is the round's `i`-th hop; every delivery asserts that its node is
+//! the hop's far end, so the pairing is checked, not assumed.
 //!
 //! [`Hypercube`]: cubetopo::Hypercube
 
 use crate::block::Block;
-use crate::ecube::{bitmap_to_list, Lane, RouteMsg, MAX_LANE_DIMS};
+use crate::ecube::RouteMsg;
 use cubeaddr::NodeId;
-use cubesim::{par, SimNet};
-use cubesync::atomic::{AtomicUsize, Ordering};
+use cubesim::SimNet;
 use cubetopo::MinimalRoute;
 
-impl<T> Lane<T> {
-    /// [`Lane::advance`](crate::ecube) generalized: retires or requeues
-    /// every landed block by the topology's routing function instead of
-    /// the e-cube rule. Lane-local; runs on worker threads.
-    fn advance_graph<G: MinimalRoute>(&mut self, topo: &G, pending: &AtomicUsize) {
-        let mut retired = 0usize;
-        let mut landed = std::mem::take(&mut self.landed);
-        for (_, b) in landed.drain(..) {
-            match topo.next_port(self.node.bits(), b.dst.bits()) {
-                None => {
-                    self.arrived.push(b);
-                    retired += 1;
-                }
-                Some(p) => self.push(p, b),
+/// One link traversal: message `id` leaves node `src` on `port` and
+/// lands on node `to`.
+#[derive(Clone, Copy)]
+pub(crate) struct Hop {
+    pub(crate) src: u64,
+    pub(crate) to: u64,
+    pub(crate) port: u32,
+    pub(crate) id: u32,
+}
+
+/// Per-link FIFOs of message ids, dense over the `nodes × ports` lanes
+/// (lane `node * ports + port`). Each FIFO is a ring: `tail[lane]` is its
+/// last message and `next` links every message to its successor, the
+/// last one back to the head. A message waits in at most one FIFO, so
+/// one `next` slot per id threads them all. Slots hold `id + 1` and 0
+/// means empty: the arrays start as zeroed pages, so a sparse run on a
+/// large machine touches only the pages of the lanes it uses.
+struct Lanes {
+    tail: Vec<u32>,
+    next: Vec<u32>,
+    /// Bit `lane` set ⇔ that lane's FIFO is non-empty.
+    live: Vec<u64>,
+    /// Bit `w` set ⇔ `live[w]` is non-zero, so a round skips idle
+    /// stretches of the lattice 4096 lanes at a time.
+    summary: Vec<u64>,
+}
+
+impl Lanes {
+    fn new(lanes: usize, ids: usize) -> Self {
+        let live = lanes.div_ceil(64);
+        Lanes {
+            tail: vec![0; lanes],
+            next: vec![0; ids],
+            live: vec![0; live],
+            summary: vec![0; live.div_ceil(64)],
+        }
+    }
+
+    /// Appends message `id` to the FIFO of `lane`.
+    fn push(&mut self, lane: usize, id: u32) {
+        let tag = id + 1;
+        match self.tail[lane] {
+            0 => {
+                self.next[id as usize] = tag;
+                let w = lane / 64;
+                self.live[w] |= 1 << (lane % 64);
+                self.summary[w / 64] |= 1 << (w % 64);
+            }
+            last => {
+                self.next[id as usize] = self.next[last as usize - 1];
+                self.next[last as usize - 1] = tag;
             }
         }
-        self.landed = landed;
-        if retired > 0 {
-            pending.fetch_sub(retired, Ordering::Relaxed);
-        }
+        self.tail[lane] = tag;
     }
 }
 
-/// Every node a message set's routes visit under `topo`'s routing
-/// function, sorted ascending, deduplicated — the graph twin of the
-/// e-cube router's path walker. Local and empty messages touch nothing.
-fn touched_nodes<T, G: MinimalRoute>(topo: &G, msgs: &[RouteMsg<T>], num: usize) -> Vec<u64> {
-    let mut seen = vec![0u64; num.div_ceil(64)];
-    for m in msgs {
-        if m.data.is_empty() || m.src == m.dst {
-            continue;
+/// Simulates store-and-forward routing of messages `ends[id] = (src,
+/// dst)` over `topo`: minimal routes by [`MinimalRoute::next_port`], one
+/// message per directed link per round, FIFO per link. Hands each round's
+/// hops to `each_round`, in send order; a message with `src == dst`
+/// makes no hops.
+///
+/// # Panics
+/// If an endpoint is not a node of `topo`, or if there are `u32::MAX`
+/// messages or more.
+#[track_caller]
+pub(crate) fn hop_rounds<G: MinimalRoute>(
+    topo: &G,
+    ends: &[(u64, u64)],
+    mut each_round: impl FnMut(&[Hop]),
+) {
+    let num = topo.num_nodes() as u64;
+    assert!(ends.len() < u32::MAX as usize, "message id space exhausted");
+    for &(src, dst) in ends {
+        assert!(src < num && dst < num, "block endpoints outside the {}", topo.label());
+    }
+    let ports = topo.ports() as usize;
+    let mut q = Lanes::new(topo.num_nodes() * ports, ends.len());
+    let mut in_flight = 0usize;
+    for (id, &(src, dst)) in ends.iter().enumerate() {
+        if let Some(p) = topo.next_port(src, dst) {
+            q.push(src as usize * ports + p as usize, id as u32);
+            in_flight += 1;
         }
-        let dst = m.dst.bits();
-        let mut cur = m.src.bits();
-        while let Some(p) = topo.next_port(cur, dst) {
-            seen[(cur / 64) as usize] |= 1 << (cur % 64);
-            cur = topo.neighbor(cur, p).unwrap_or_else(|| {
-                panic!("{}: route for {cur} -> {dst} uses unwired port {p}", topo.label())
+    }
+    let mut commit: Vec<Vec<(u64, u32)>> = vec![Vec::new(); ports];
+    let mut hops: Vec<Hop> = Vec::new();
+    while in_flight > 0 {
+        // Stage: pop the head of every live lane, lanes ascending (nodes
+        // ascending, ports ascending per node).
+        let Lanes { tail, next, live, summary } = &mut q;
+        for (v, sword) in summary.iter_mut().enumerate() {
+            let mut ws = *sword;
+            while ws != 0 {
+                let w = v * 64 + ws.trailing_zeros() as usize;
+                ws &= ws - 1;
+                let mut bits = live[w];
+                while bits != 0 {
+                    let lane = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let last = tail[lane];
+                    let first = next[last as usize - 1];
+                    if first == last {
+                        tail[lane] = 0;
+                        live[w] &= !(1 << (lane % 64));
+                    } else {
+                        next[last as usize - 1] = next[first as usize - 1];
+                    }
+                    commit[lane % ports].push(((lane / ports) as u64, first - 1));
+                }
+                if live[w] == 0 {
+                    *sword &= !(1 << (w % 64));
+                }
+            }
+        }
+        // Commit port-major: the send order.
+        hops.clear();
+        for (p, staged) in commit.iter_mut().enumerate() {
+            let port = p as u32;
+            hops.extend(staged.drain(..).map(|(src, id)| Hop { src, to: 0, port, id }));
+        }
+        // Land in send order: retire arrivals, queue the rest on their
+        // next port.
+        for hop in &mut hops {
+            let Hop { src, port, id, .. } = *hop;
+            let dst = ends[id as usize].1;
+            hop.to = topo.neighbor(src, port).unwrap_or_else(|| {
+                panic!("{}: route toward {dst} leaves {src} on unwired port {port}", topo.label())
             });
+            match topo.next_port(hop.to, dst) {
+                None => in_flight -= 1,
+                Some(p) => q.push(hop.to as usize * ports + p as usize, id),
+            }
         }
-        seen[(dst / 64) as usize] |= 1 << (dst % 64);
+        each_round(&hops);
     }
-    let mut touched = Vec::new();
-    for (w, &word) in seen.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            touched.push((w * 64) as u64 + u64::from(bits.trailing_zeros()));
-            bits &= bits - 1;
-        }
-    }
-    touched
 }
 
 /// Routes all messages to their destinations over `net`'s topology with
 /// minimal-path store-and-forward routing, one message per directed
 /// link per round (FIFO per link). Returns the blocks received per
-/// node, in arrival order.
+/// node, in arrival order; empty messages are dropped and local ones
+/// arrive before any round.
 ///
-/// Like the e-cube router this models independent per-link router
-/// hardware — run it on a net with [`cubesim::PortMode::AllPorts`]. Per-
-/// node staging and advancement fan out over
-/// [`cubesim::par::num_threads`] workers; all cost accounting stays
-/// serial, so results and [`cubesim::CommReport`]s do not depend on the
-/// thread count.
+/// The router replays the `hop_rounds` loop through `net`: each round
+/// sends every hop's block, closes the round, and pairs each delivery
+/// with its hop. It models independent per-link hardware — run it on a
+/// net with [`cubesim::PortMode::AllPorts`]. It is serial, so results
+/// and [`cubesim::CommReport`]s do not depend on the thread count.
+///
+/// # Panics
+/// If a message endpoint is not a node of the net's topology.
+#[track_caller]
 pub fn graph_route<T: Send, G: MinimalRoute>(
     net: &mut SimNet<Block<T>, G>,
     msgs: Vec<RouteMsg<T>>,
 ) -> Vec<Vec<Block<T>>> {
+    // Id-indexed arena (collected in place over `msgs`): a block waits
+    // here between hops.
+    let mut arena: Vec<Option<Block<T>>> = msgs
+        .into_iter()
+        .filter(|m| !m.data.is_empty())
+        .map(|m| Some(Block::new(m.src, m.dst, m.data)))
+        .collect();
+    let ends: Vec<(u64, u64)> =
+        arena.iter().flatten().map(|b| (b.src.bits(), b.dst.bits())).collect();
+    let mut result: Vec<Vec<Block<T>>> = (0..net.num_nodes()).map(|_| Vec::new()).collect();
+    // Local messages arrive first. One outside the topology is skipped
+    // here and rejected by `hop_rounds` below.
+    for (slot, &(src, dst)) in arena.iter_mut().zip(&ends) {
+        match result.get_mut(dst as usize) {
+            Some(arrived) if src == dst => arrived.extend(slot.take()),
+            _ => {}
+        }
+    }
     let topo = net.topology().clone();
-    let ports = net.ports() as usize;
-    assert!(
-        ports <= MAX_LANE_DIMS,
-        "router supports up to {MAX_LANE_DIMS} ports per node; the {} has {ports}",
-        topo.label()
-    );
-    let num = net.num_nodes();
-    let mut result: Vec<Vec<Block<T>>> = (0..num).map(|_| Vec::new()).collect();
-
-    // Lazily sized queue storage, exactly as in the e-cube router.
-    let touched = touched_nodes(&topo, &msgs, num);
-    let mut lane_of: Vec<u32> = vec![u32::MAX; num];
-    for (i, &x) in touched.iter().enumerate() {
-        lane_of[x as usize] = i as u32;
-    }
-    let mut lanes: Vec<Lane<T>> = touched.iter().map(|&x| Lane::new(NodeId(x))).collect();
-    let mut live = vec![0u64; lanes.len().div_ceil(64)];
-
-    // Inject: local messages arrive immediately; the rest queue at their
-    // source on their first port, in input order.
-    let mut injected = 0usize;
-    for m in msgs {
-        if m.data.is_empty() {
-            continue;
-        }
-        match topo.next_port(m.src.bits(), m.dst.bits()) {
-            None => result[m.dst.index()].push(Block::new(m.src, m.dst, m.data)),
-            Some(p) => {
-                let li = lane_of[m.src.index()];
-                lanes[li as usize].push(p, Block::new(m.src, m.dst, m.data));
-                live[(li / 64) as usize] |= 1 << (li % 64);
-                injected += 1;
-            }
-        }
-    }
-
-    let pending = AtomicUsize::new(injected);
-    let mut active: Vec<u32> = Vec::new();
-    let mut landed_bits = vec![0u64; live.len()];
-    let mut landed_lanes: Vec<u32> = Vec::new();
-    let mut commit: Vec<Vec<(NodeId, Block<T>)>> = (0..ports).map(|_| Vec::new()).collect();
-    let threads = par::num_threads();
-
-    while pending.load(Ordering::Relaxed) > 0 {
-        bitmap_to_list(&live, &mut active);
-        // Stage: one queue head per non-empty outgoing link, grouped
-        // port-major with nodes ascending within each port.
-        if threads <= 1 {
-            for &li in &active {
-                let lane = &mut lanes[li as usize];
-                lane.stage_into(&mut commit);
-                if lane.qmask == 0 {
-                    live[(li / 64) as usize] &= !(1 << (li % 64));
-                }
-            }
-        } else {
-            par::par_for_each_mut_sparse(&mut lanes, &active, Lane::stage);
-            for &li in &active {
-                let lane = &mut lanes[li as usize];
-                for (p, msg) in lane.staged.drain(..) {
-                    commit[p as usize].push((lane.node, msg));
-                }
-                if lane.qmask == 0 {
-                    live[(li / 64) as usize] &= !(1 << (li % 64));
-                }
-            }
-        }
-        // Commit (serial): batch-send per port, fixed order.
-        for (p, staged) in commit.iter_mut().enumerate() {
-            net.send_batch(p as u32, staged.drain(..));
+    hop_rounds(&topo, &ends, |round| {
+        for hop in round {
+            let block = arena[hop.id as usize].take().expect("a block is sent from where it waits");
+            net.send(NodeId(hop.src), hop.port, block);
         }
         net.finish_round();
-        // Drain (serial): one pass over the inbox, in send order.
-        if threads <= 1 {
-            let mut retired = 0usize;
-            net.drain_all_with(|dst, _, b| match topo.next_port(dst.bits(), b.dst.bits()) {
-                None => {
-                    result[dst.index()].push(b);
-                    retired += 1;
-                }
-                Some(np) => {
-                    let li = lane_of[dst.index()];
-                    lanes[li as usize].push(np, b);
-                    live[(li / 64) as usize] |= 1 << (li % 64);
-                }
-            });
-            if retired > 0 {
-                pending.fetch_sub(retired, Ordering::Relaxed);
+        let mut hops = round.iter();
+        net.drain_all_with(|at, _, block| {
+            let hop = hops.next().expect("one delivery per hop");
+            assert_eq!(
+                at.bits(),
+                hop.to,
+                "delivery does not pair with hop {} --port {}-->",
+                hop.src,
+                hop.port
+            );
+            if block.dst == at {
+                result[at.index()].push(block);
+            } else {
+                arena[hop.id as usize] = Some(block);
             }
-        } else {
-            net.drain_all_with(|dst, port, b| {
-                let li = lane_of[dst.index()];
-                landed_bits[(li / 64) as usize] |= 1 << (li % 64);
-                lanes[li as usize].landed.push((port, b));
-            });
-            bitmap_to_list(&landed_bits, &mut landed_lanes);
-            landed_bits.fill(0);
-            par::par_for_each_mut_sparse(&mut lanes, &landed_lanes, |lane| {
-                lane.advance_graph(&topo, &pending)
-            });
-            for &li in &landed_lanes {
-                if lanes[li as usize].qmask != 0 {
-                    live[(li / 64) as usize] |= 1 << (li % 64);
-                }
-            }
-        }
-    }
-
-    for lane in lanes {
-        let x = lane.node.index();
-        if result[x].is_empty() {
-            result[x] = lane.arrived;
-        } else {
-            result[x].extend(lane.arrived);
-        }
-    }
+        });
+    });
     result
 }
 
@@ -307,5 +342,25 @@ mod tests {
         );
         assert_eq!(out[0b101].len(), 1);
         assert_eq!(net.finalize().rounds, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the")]
+    fn out_of_range_endpoint_panics_on_dragonfly() {
+        let mut net = dragonfly_net(2, 2);
+        let _ = graph_route(
+            &mut net,
+            vec![RouteMsg { src: NodeId(0), dst: NodeId(8), data: vec![1u64] }],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the")]
+    fn out_of_range_endpoint_panics_on_hypercube() {
+        let mut net: SimNet<Block<u64>> = SimNet::new(3, MachineParams::unit(PortMode::AllPorts));
+        let _ = graph_route(
+            &mut net,
+            vec![RouteMsg { src: NodeId(8), dst: NodeId(1), data: vec![1u64] }],
+        );
     }
 }

@@ -20,8 +20,10 @@
 //!   `l` all-to-all steps in the order of Theorem 1.
 //! * [`ecube`] — a dimension-ordered store-and-forward router, the
 //!   "routing logic" baseline of the experiments.
-//! * [`graph`] — the same router lifted to any
-//!   [`cubetopo::MinimalRoute`] topology (e.g. the Swapped Dragonfly).
+//! * [`graph`] — the store-and-forward router on any
+//!   [`cubetopo::MinimalRoute`] topology (e.g. the Swapped Dragonfly):
+//!   one contention loop whose hop log the routers replay and the
+//!   router flight plans record; [`ecube`] is its cube instance.
 //! * [`plan`] — static, payload-free introspection of all the above: the
 //!   schedules as first-class data, for the `cubecheck` invariant
 //!   checkers and for planning-cost benchmarks.

@@ -25,6 +25,10 @@
 //! block addresses and instantiated per node by relabeling, with the
 //! allocation-heavy per-round materialization fanned over
 //! [`cubesim::par`] (byte-identical output at any `CUBEBENCH_THREADS`).
+//! The router flight plans ([`ecube_route_plan`],
+//! [`dragonfly_direct_plan`]) do not mirror their engine; they *are*
+//! its hop log, from the one store-and-forward loop in [`crate::graph`]
+//! that the routers replay.
 //! The pre-optimization planners survive verbatim in [`mod@reference`],
 //! pinned to the fast builders by equivalence property tests. A keyed
 //! LRU [`PlanCache`] (see [`cache`]) plus the `*_cached` wrappers below
@@ -52,7 +56,7 @@ use crate::some_to_all;
 use cubeaddr::{DimSet, NodeId};
 use cubesim::PortMode;
 use cubesync::sync::Arc;
-use cubetopo::{TopoSpec, Topology};
+use cubetopo::{Hypercube, TopoSpec, Topology};
 
 /// A block's metadata: everything the cost model and the invariants see.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -362,8 +366,9 @@ pub fn all_to_all_sbnt_plan(n: u32, sizes: &[Vec<u64>]) -> CommSchedule {
 
 /// Plans [`crate::ecube::ecube_route`]: dimension-ordered store-and-
 /// forward routing, one message per directed link per round, FIFO per
-/// link, with the flat router's exact staging order (lanes ascending,
-/// dimensions ascending per lane, commits dimension-major).
+/// link. The rounds are the router's own hop log (the shared loop in
+/// [`crate::graph`]), one single-block message per hop, so they are the
+/// hop sequence an execution replays.
 ///
 /// `msgs` are `(src, dst, elems)`; zero-element and local messages plan
 /// no hops (local blocks still appear in the plan's block list, with an
@@ -376,7 +381,7 @@ pub fn ecube_route_plan(n: u32, msgs: &[(NodeId, NodeId, u64)]) -> CommSchedule 
         .map(|&(src, dst, elems)| BlockMeta { src, dst, elems })
         .collect();
     check_blocks(&TopoSpec::hypercube(n), &blocks);
-    let rounds = skeleton::ecube_rounds(n, &blocks);
+    let rounds = skeleton::routed_rounds(&Hypercube::new(n), &blocks);
     CommSchedule {
         name: format!("ecube_route/n{n}"),
         topo: TopoSpec::hypercube(n),

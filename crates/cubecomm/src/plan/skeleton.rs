@@ -31,18 +31,20 @@
 //!    engines make, and byte-identical to [`super::reference`] (enforced
 //!    by the `plan_reference` property tests).
 //!
-//! The e-cube planner cannot be fully factored — its round structure is
-//! a contention simulation — but its simulation loop is rebuilt on the
-//! flat router's data plane: intrusive FIFO slabs (`head`/`tail`/`next`
-//! arrays, no per-lane `VecDeque`) and a live-lane bitmap, so a round
-//! costs O(live lanes), not O(2^n · n) full-lattice scans.
+//! The router flight plans cannot be factored this way — their round
+//! structure is a contention simulation — so their skeleton is the
+//! router's own hop log, recorded from [`crate::graph`]'s shared
+//! store-and-forward loop (the one every routing execution replays) and
+//! instantiated like the others.
 
 use super::{chunk_ids, BlockMeta, PlanRound, PlannedMsg};
 use crate::exchange::BufferPolicy;
+use crate::graph::hop_rounds;
 use crate::sbnt::sbnt_path_dims;
 use crate::sbt::Sbt;
 use cubeaddr::NodeId;
 use cubesim::par;
+use cubetopo::MinimalRoute;
 
 /// One exchange step's instantiated skeleton: the dimension crossed, its
 /// position in the dimension sequence, and the senders with their block
@@ -375,98 +377,22 @@ pub(super) fn sbnt_rounds(n: u32, blocks: &[BlockMeta]) -> Vec<PlanRound> {
     })
 }
 
-/// "Empty" sentinel for the intrusive lane FIFOs (block ids are `u32`
-/// and `check_blocks` caps the id space below `u32::MAX`).
-const NONE: u32 = u32::MAX;
-
-/// Appends `id` to the lane's FIFO, marking the lane live if it was
-/// empty.
-fn lane_push(
-    head: &mut [u32],
-    tail: &mut [u32],
-    next: &mut [u32],
-    live: &mut [u64],
-    lane: usize,
-    id: u32,
-) {
-    next[id as usize] = NONE;
-    if tail[lane] == NONE {
-        head[lane] = id;
-        live[lane / 64] |= 1u64 << (lane % 64);
-    } else {
-        next[tail[lane] as usize] = id;
-    }
-    tail[lane] = id;
-}
-
-/// Rounds of [`super::ecube_route_plan`]: the dimension-ordered router's
-/// contention simulation on the flat router's data plane — intrusive
-/// per-lane FIFOs (a block sits in at most one queue, so one `next` slot
-/// per block suffices) and a live-lane bitmap whose ascending scan
-/// reproduces the router's lanes-ascending, dimensions-ascending staging
-/// order exactly.
-pub(super) fn ecube_rounds(n: u32, blocks: &[BlockMeta]) -> Vec<PlanRound> {
-    let nd = n as usize;
-    let num = cubeaddr::num_nodes(n);
-    let lanes = num * nd;
-    let mut head = vec![NONE; lanes];
-    let mut tail = vec![NONE; lanes];
-    let mut next = vec![NONE; blocks.len()];
-    let mut live = vec![0u64; lanes.div_ceil(64)];
-    let mut in_flight = 0usize;
-    for (id, b) in blocks.iter().enumerate() {
-        let diff = b.src.bits() ^ b.dst.bits();
-        if diff != 0 {
-            let lane = b.src.index() * nd + diff.trailing_zeros() as usize;
-            lane_push(&mut head, &mut tail, &mut next, &mut live, lane, id as u32);
-            in_flight += 1;
-        }
-    }
-    // Flat staged-hop log: `(src, dim, id)` records in send order, with
-    // round boundaries — the whole simulation allocates nothing per hop.
+/// Rounds of the router flight plans ([`super::ecube_route_plan`],
+/// [`super::dragonfly_direct_plan`]): the rounds of [`hop_rounds`] on
+/// `topo` — the loop every routing execution replays — recorded flat,
+/// then materialized as one single-block message per hop.
+pub(super) fn routed_rounds<G: MinimalRoute>(topo: &G, blocks: &[BlockMeta]) -> Vec<PlanRound> {
+    let ends: Vec<(u64, u64)> = blocks.iter().map(|b| (b.src.bits(), b.dst.bits())).collect();
+    // `(src, port, id)` per hop, with round boundaries.
     let mut flat: Vec<(u64, u32, u32)> = Vec::new();
-    let mut bounds: Vec<usize> = vec![0];
-    let mut commit: Vec<Vec<(u64, u32)>> = vec![Vec::new(); nd];
-    while in_flight > 0 {
-        // Stage: pop the head of every live lane, lanes ascending (the
-        // router's node-major, dimension-minor scan).
-        for (w, word) in live.iter_mut().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                let lane = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let id = head[lane];
-                head[lane] = next[id as usize];
-                if head[lane] == NONE {
-                    tail[lane] = NONE;
-                    *word &= !(1u64 << (lane % 64));
-                }
-                commit[lane % nd].push(((lane / nd) as u64, id));
-            }
-        }
-        // Commit dimension-major — the router's send order.
-        for (d, staged) in commit.iter_mut().enumerate() {
-            for (src, id) in staged.drain(..) {
-                flat.push((src, d as u32, id));
-            }
-        }
-        // Land in send order: retire arrivals, requeue the rest on their
-        // next e-cube dimension.
-        for &(src, d, id) in &flat[bounds[bounds.len() - 1]..] {
-            let land = src ^ (1u64 << d);
-            let diff = land ^ blocks[id as usize].dst.bits();
-            if diff == 0 {
-                in_flight -= 1;
-            } else {
-                let lane = land as usize * nd + diff.trailing_zeros() as usize;
-                lane_push(&mut head, &mut tail, &mut next, &mut live, lane, id);
-            }
-        }
+    let mut bounds = vec![0];
+    hop_rounds(topo, &ends, |round| {
+        flat.extend(round.iter().map(|h| (h.src, h.port, h.id)));
         bounds.push(flat.len());
-    }
-    let ranges: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
-    par::par_map(&ranges, |&(s, e)| PlanRound {
-        msgs: flat[s..e]
+    });
+    let rounds: Vec<&[(u64, u32, u32)]> = bounds.windows(2).map(|w| &flat[w[0]..w[1]]).collect();
+    par::par_map(&rounds, |round| PlanRound {
+        msgs: round
             .iter()
             .map(|&(src, dim, id)| PlannedMsg { src: NodeId(src), dim, blocks: vec![id] })
             .collect(),

@@ -1,15 +1,38 @@
-//! Time-bounded performance smoke test for the schedule executor.
+//! Performance smoke tests for the schedule executor, the router and
+//! the plan cache.
 //!
-//! Runs the full n = 10 all-to-all personalized exchange (1024 nodes,
-//! ~one million blocks through the flat-indexed `SimNet`) and fails if
-//! it takes longer than a generous wall-clock bound. Ignored by default
-//! so ordinary debug test runs stay fast; `scripts/ci.sh` runs it in
+//! The n = 10 all-to-all personalized exchange (1024 nodes, ~one
+//! million blocks through the flat-indexed `SimNet`) and the n = 12
+//! router transpose must finish within generous wall-clock bounds; the
+//! router must not be slower at two worker threads than at one; a warm
+//! plan-cache fetch must beat a cold build. Ignored by default so
+//! ordinary debug test runs stay fast; `scripts/ci.sh` runs them in
 //! release mode with `--ignored`.
 
+use cubeaddr::NodeId;
+use cubecomm::ecube::{ecube_route, RouteMsg};
 use cubecomm::exchange::{all_to_all_exchange, BufferPolicy};
-use cubecomm::BlockMsg;
-use cubesim::{MachineParams, PortMode, SimNet};
+use cubecomm::{Block, BlockMsg};
+use cubesim::{par, MachineParams, PortMode, SimNet};
 use std::time::{Duration, Instant};
+
+/// The figures' node-permutation transpose `x -> tr(x)` on an `n`-cube,
+/// as router messages of 4 elements (fixed points dropped).
+fn router_transpose_msgs(n: u32) -> Vec<RouteMsg<u64>> {
+    let half = n / 2;
+    (0..(1u64 << n))
+        .filter_map(|x| {
+            let (hi, lo) = cubeaddr::split(x, half);
+            let t = cubeaddr::concat(lo, hi, half);
+            (t != x).then(|| RouteMsg { src: NodeId(x), dst: NodeId(t), data: vec![x; 4] })
+        })
+        .collect()
+}
+
+fn median(mut v: Vec<Duration>) -> Duration {
+    v.sort();
+    v[v.len() / 2]
+}
 
 #[test]
 #[ignore = "perf smoke; run in release via scripts/ci.sh"]
@@ -37,22 +60,12 @@ fn n10_all_to_all_completes_within_bound() {
 #[test]
 #[ignore = "perf smoke; run in release via scripts/ci.sh"]
 fn n12_router_transpose_completes_within_bound() {
-    use cubeaddr::NodeId;
-    use cubecomm::ecube::{ecube_route, RouteMsg};
-    use cubecomm::Block;
-
     // The FIG16-18 workload one size below the headline: the
     // node-permutation transpose pattern on a 12-cube (4096 messages,
-    // heavy link contention) through the flat lane-based router.
+    // heavy link contention) through the e-cube router.
     let n = 12u32;
     let half = n / 2;
-    let msgs: Vec<RouteMsg<u64>> = (0..(1u64 << n))
-        .filter_map(|x| {
-            let (hi, lo) = cubeaddr::split(x, half);
-            let t = cubeaddr::concat(lo, hi, half);
-            (t != x).then(|| RouteMsg { src: NodeId(x), dst: NodeId(t), data: vec![x; 4] })
-        })
-        .collect();
+    let msgs = router_transpose_msgs(n);
 
     let mut net: SimNet<Block<u64>> = SimNet::new(n, MachineParams::connection_machine());
     let start = Instant::now();
@@ -66,6 +79,39 @@ fn n12_router_transpose_completes_within_bound() {
     // ~3 ms on a modest core; the bound only catches order-of-magnitude
     // regressions (e.g. a return to full-lattice scans), not jitter.
     assert!(elapsed < Duration::from_secs(10), "n=12 router transpose took {elapsed:?}");
+}
+
+#[test]
+#[ignore = "perf smoke; run in release via scripts/ci.sh"]
+fn n12_router_two_threads_not_slower_than_one() {
+    // More worker threads must never make the router slower: the n=12
+    // transpose at two threads stays within 1.25x of one thread.
+    // Alternating trials share the host's drift; medians drop outliers.
+    let n = 12u32;
+    let msgs = router_transpose_msgs(n);
+    let time_at = |threads: usize| {
+        par::with_threads(threads, || {
+            let mut net: SimNet<Block<u64>> = SimNet::new(n, MachineParams::connection_machine());
+            let batch = msgs.clone();
+            let start = Instant::now();
+            let arrivals = ecube_route(&mut net, batch);
+            net.finalize();
+            let elapsed = start.elapsed();
+            assert_eq!(arrivals.iter().map(Vec::len).sum::<usize>(), msgs.len());
+            elapsed
+        })
+    };
+    let trials = 9;
+    let (mut one, mut two) = (Vec::new(), Vec::new());
+    for _ in 0..trials {
+        one.push(time_at(1));
+        two.push(time_at(2));
+    }
+    let (one, two) = (median(one), median(two));
+    assert!(
+        two.as_secs_f64() <= 1.25 * one.as_secs_f64(),
+        "n=12 router transpose: {two:?} at 2 threads vs {one:?} at 1 thread (bound 1.25x)"
+    );
 }
 
 #[test]
@@ -88,10 +134,6 @@ fn n12_warm_cache_fetch_beats_cold_build_10x() {
         })
         .collect();
 
-    let median = |mut v: Vec<Duration>| -> Duration {
-        v.sort();
-        v[v.len() / 2]
-    };
     let trials = 5;
 
     let cold = median(

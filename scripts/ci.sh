@@ -97,6 +97,10 @@ begin "perf smoke: n=12 router transpose (time-bounded)"
 timeout 300 cargo test --release -q -p cubecomm --test perf_smoke -- --ignored \
     n12_router_transpose_completes_within_bound
 
+begin "perf gate: n=12 router transpose at 2 threads <= 1.25x its 1-thread time"
+timeout 300 cargo test --release -q -p cubecomm --test perf_smoke -- --ignored \
+    n12_router_two_threads_not_slower_than_one
+
 begin "perf smoke: n=12 warm plan-cache fetch >= 10x cold build"
 timeout 300 cargo test --release -q -p cubecomm --test perf_smoke -- --ignored \
     n12_warm_cache_fetch_beats_cold_build_10x
